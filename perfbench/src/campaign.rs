@@ -13,7 +13,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use asdf::experiments::{self, CampaignConfig};
+use asdf::experiments::CampaignConfig;
 use asdf::pipeline::{AsdfBuilder, AsdfOptions};
 use asdf_core::module::Envelope;
 use asdf_modules::training::BlackBoxModel;
@@ -21,14 +21,14 @@ use hadoop_sim::cluster::{Cluster, ClusterConfig};
 use hadoop_sim::faults::{FaultKind, FaultSpec};
 
 use crate::measure::{self, median, quantile, secs, tail_quantile};
-use crate::pipeline::{Pipeline, TickTimes};
+use crate::pipeline::{self, Pipeline, TickTimes};
 use crate::reference::{self, Windows};
 use crate::timed::{self, Totals};
 use crate::{Args, Outcome};
 
 /// Set-up is repeated this many times per invocation; the median is
 /// reported.
-const SETUP_REPS: usize = 3;
+const SETUP_REPS: usize = 5;
 /// Distinct runs (seeds) per fault. Accuracy and detection latency average
 /// over all of them, so every invocation runs at least `REPS` rounds.
 const REPS: usize = 5;
@@ -319,7 +319,7 @@ pub fn run(args: &Args) -> Outcome {
     let mut model = None;
     for _ in 0..SETUP_REPS {
         let t = Instant::now();
-        let m = experiments::train_model(&cfg);
+        let m = pipeline::train_model();
         train.push(secs(t));
         let tb = Instant::now();
         let all: Vec<Pipeline> = (0..FaultKind::ALL.len())

@@ -11,6 +11,8 @@ use std::collections::BTreeMap;
 
 use asdf_core::module::Envelope;
 
+use crate::measure::median;
+
 /// Relative tolerance for "the same real number computed two ways".
 pub const REL_TOL: f64 = 1e-9;
 
@@ -226,19 +228,6 @@ pub fn nearest_states(raw: &[f64], stddev: &[f64], centroids: &[Vec<f64>]) -> Ve
     (0..dists.len())
         .filter(|&i| dists[i] <= best * (1.0 + REL_TOL))
         .collect()
-}
-
-/// Median of a non-empty list; the mean of the middle pair for even
-/// counts.
-pub fn median(values: &[f64]) -> f64 {
-    let mut v = values.to_vec();
-    v.sort_by(f64::total_cmp);
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
-    }
 }
 
 /// §4.5's black-box distances: per window of `window` consecutive states,

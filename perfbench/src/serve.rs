@@ -14,7 +14,6 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use asdf::experiments::{self, CampaignConfig};
 use asdf::pipeline::{AsdfBuilder, AsdfOptions};
 use asdf::serve::{ServeDaemon, ServeOptions, TenantReport, TenantSpec};
 use asdf_core::module::Envelope;
@@ -23,7 +22,7 @@ use asdf_rpc::Handshake;
 use hadoop_sim::cluster::{Cluster, ClusterConfig};
 
 use crate::measure::{self, median, quantile, secs, tail_quantile, ThreadCpu};
-use crate::pipeline::{Pipeline, TickTimes};
+use crate::pipeline::{self, Pipeline, TickTimes};
 use crate::reference::{self, Windows};
 use crate::timed::{self, Totals};
 use crate::{Args, Outcome};
@@ -34,7 +33,7 @@ const TICK: Duration = Duration::from_millis(10);
 const WINDOW: usize = 60;
 /// Set-up is repeated this many times per invocation; the median is
 /// reported.
-const SETUP_REPS: usize = 3;
+const SETUP_REPS: usize = 5;
 /// Serial replays per tenant. The replayed ticks are short (about 70 us),
 /// so their times are pooled over repeated replays.
 const REPLAYS: usize = 5;
@@ -210,11 +209,6 @@ fn replay(
 pub fn run(args: &Args) -> Outcome {
     let mut out = Outcome::default();
     let seed = args.seed;
-    let cfg = CampaignConfig {
-        base_seed: seed,
-        threads: 1,
-        ..CampaignConfig::default()
-    };
     let seconds = args.seconds as f64;
     let steps = steps_for(if args.trace { seconds / 3.0 } else { seconds });
     // Set-up: train the model and join every tenant, SETUP_REPS times.
@@ -223,7 +217,7 @@ pub fn run(args: &Args) -> Outcome {
     let mut model = None;
     for _ in 0..SETUP_REPS {
         let t = Instant::now();
-        let m = experiments::train_model(&cfg);
+        let m = pipeline::train_model();
         train.push(secs(t));
         let tj = Instant::now();
         let d = join_all(&m, seed, 0);

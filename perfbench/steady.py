@@ -39,21 +39,16 @@ def main():
     ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--workloads", default="",
                     help="comma-separated subset (default: all)")
-    ap.add_argument("--seconds", type=int, default=0,
-                    help="override run_seconds from BENCHMARK.json")
-    ap.add_argument("--json", default="",
-                    help="also write every run's result line to this file")
     args = ap.parse_args()
 
     with open("BENCHMARK.json") as f:
         bench = json.load(f)
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     workloads = [w["name"] for w in bench["workloads"]]
     if args.workloads:
         workloads = [w for w in args.workloads.split(",") if w]
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
 
-    record = {}
     worst = 0.0
     for workload in workloads:
         results = []
@@ -66,7 +61,6 @@ def main():
             print(f"  {workload} seed {seed}: {wall:.1f} s wall, "
                   f"{res['attempted']} attempted, {res['failed']} failed, "
                   f"correct={res['correct']}", file=sys.stderr)
-        record[workload] = results
         shares = sorted({r["failed"] / r["attempted"] for r in results})
         print(f"\n{workload}: {args.runs} runs of {seconds} s, "
               f"wall {min(walls):.1f}-{max(walls):.1f} s, "
@@ -78,14 +72,10 @@ def main():
             unit = results[0]["metrics"][name]["unit"]
             q1, med, q3 = statistics.quantiles(values, n=4)
             spread = (q3 - q1) / med if med else float("inf")
-            if name != "setup_s":
-                worst = max(worst, spread / bound)
+            worst = max(worst, spread / bound)
             print(f"  {name:<24} {unit:<9} {med:>14.6g} {q1:>14.6g} "
                   f"{q3:>14.6g} {spread:>8.4f} {bound:>6.3f}")
-    print(f"\nlargest spread/bound (setup_s excluded): {worst:.3f}")
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump(record, f, indent=1)
+    print(f"\nlargest spread/bound: {worst:.3f}")
 
 
 if __name__ == "__main__":
